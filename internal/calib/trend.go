@@ -9,39 +9,32 @@ import (
 	"os"
 	"strconv"
 
+	"blackjack/internal/journal"
 	"blackjack/internal/stats"
 )
 
 // Record is one normalized BENCH trajectory record: numeric fields and
-// string labels of the flat JSON object, schema-agnostic. Legacy records
-// (the pre-trajectory single-object format, or records written before a
-// field existed) normalize to the same shape — a missing number is simply
-// absent from Fields, a missing label is the empty string — so trend
-// fitting never special-cases schema versions.
+// string labels of the flat JSON object, schema-agnostic. Records written
+// before a field existed normalize to the same shape — a missing number is
+// simply absent from Fields, a missing label is the empty string — so
+// trend fitting never special-cases schema versions.
 type Record struct {
 	Fields map[string]float64
 	Labels map[string]string
 }
 
-// rawTrajectory parses a trajectory file body into its raw records,
-// migrating the legacy single-object format to a one-record list.
+// rawTrajectory parses a trajectory file body — a JSON array of records —
+// into its raw records.
 func rawTrajectory(data []byte) ([]json.RawMessage, error) {
 	trimmed := bytes.TrimSpace(data)
 	if len(trimmed) == 0 {
 		return nil, nil
 	}
-	if trimmed[0] == '[' {
-		var records []json.RawMessage
-		if err := json.Unmarshal(trimmed, &records); err != nil {
-			return nil, fmt.Errorf("calib: invalid trajectory: %w", err)
-		}
-		return records, nil
+	var records []json.RawMessage
+	if err := json.Unmarshal(trimmed, &records); err != nil {
+		return nil, fmt.Errorf("calib: invalid trajectory: %w", err)
 	}
-	var legacy json.RawMessage
-	if err := json.Unmarshal(trimmed, &legacy); err != nil {
-		return nil, fmt.Errorf("calib: neither a trajectory nor a legacy record: %w", err)
-	}
-	return []json.RawMessage{legacy}, nil
+	return records, nil
 }
 
 // normalizeRecord decodes one raw record into the schema-agnostic form.
@@ -68,8 +61,8 @@ func normalizeRecord(raw json.RawMessage) (Record, error) {
 	return rec, nil
 }
 
-// LoadTrajectory parses a trajectory body (array or legacy single object)
-// into normalized records, oldest first.
+// LoadTrajectory parses a trajectory body into normalized records, oldest
+// first.
 func LoadTrajectory(data []byte) ([]Record, error) {
 	raws, err := rawTrajectory(data)
 	if err != nil {
@@ -121,7 +114,7 @@ func (e *TrajectoryMismatchError) Error() string {
 }
 
 // identityValue renders one identity field of a record canonically; ok is
-// false when the record does not carry the field (legacy schemas), which
+// false when the record does not carry the field (older schemas), which
 // imposes no constraint.
 func identityValue(rec Record, field string) (string, bool) {
 	if v, ok := rec.Fields[field]; ok {
@@ -134,9 +127,10 @@ func identityValue(rec Record, field string) (string, bool) {
 }
 
 // AppendTrajectory appends rec (any JSON-marshalable flat record) to the
-// trajectory array at path, migrating a legacy single-object file in place
-// and refusing — with a *TrajectoryMismatchError — a record whose identity
-// fields disagree with any record already in the file.
+// trajectory array at path, refusing — with a *TrajectoryMismatchError — a
+// record whose identity fields disagree with any record already in the
+// file. The file is replaced atomically, so a crash mid-write leaves the
+// previous trajectory intact.
 func AppendTrajectory(path string, rec any) error {
 	encoded, err := json.Marshal(rec)
 	if err != nil {
@@ -175,7 +169,7 @@ func AppendTrajectory(path string, rec any) error {
 		return err
 	}
 	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
+	return journal.WriteFileAtomic(path, out)
 }
 
 // TrendMetric is one gated metric of a BENCH trajectory.

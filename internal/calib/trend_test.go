@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// legacyBody is the pre-trajectory single-object BENCH format: no "at"
-// stamp and no cache fields, exactly the schema the first committed
-// campaign record was written in.
+// legacyBody is a record in the oldest committed schema: no "at" stamp
+// and no cache fields, exactly the schema the first committed campaign
+// record was written in.
 const legacyBody = `{
   "benchmark": "gcc",
   "mode": "blackjack",
@@ -31,29 +31,6 @@ func writeFile(t *testing.T, body string) string {
 	return path
 }
 
-func TestLoadTrajectoryLegacyObject(t *testing.T) {
-	records, err := LoadTrajectory([]byte(legacyBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 1 {
-		t.Fatalf("legacy object normalized to %d records, want 1", len(records))
-	}
-	rec := records[0]
-	if rec.Labels["at"] != "" {
-		t.Errorf(`missing "at" normalized to %q, want ""`, rec.Labels["at"])
-	}
-	if rec.Labels["benchmark"] != "gcc" || rec.Labels["mode"] != "blackjack" {
-		t.Errorf("labels = %v", rec.Labels)
-	}
-	if rec.Fields["sites"] != 6 || rec.Fields["speedup"] != 3.6 {
-		t.Errorf("fields = %v", rec.Fields)
-	}
-	if _, ok := rec.Fields["cache_speedup"]; ok {
-		t.Error("legacy record grew a cache_speedup field out of nowhere")
-	}
-}
-
 func TestLoadTrajectoryEmptyAndInvalid(t *testing.T) {
 	if records, err := LoadTrajectory(nil); err != nil || len(records) != 0 {
 		t.Errorf("empty body = %v, %v; want no records", records, err)
@@ -63,6 +40,9 @@ func TestLoadTrajectoryEmptyAndInvalid(t *testing.T) {
 	}
 	if _, err := LoadTrajectory([]byte(`[{"a": 1}, 42]`)); err == nil {
 		t.Error("non-object array element did not error")
+	}
+	if _, err := LoadTrajectory([]byte(legacyBody)); err == nil {
+		t.Error("a bare record outside a trajectory array did not error")
 	}
 }
 
@@ -157,32 +137,6 @@ func TestEvalTrendWindowLimitsBaseline(t *testing.T) {
 	}
 }
 
-func TestAppendTrajectoryMigratesLegacyFile(t *testing.T) {
-	path := writeFile(t, legacyBody)
-	rec := map[string]any{"at": "2026-08-08T12:00:00Z", "benchmark": "gcc",
-		"mode": "blackjack", "sites": 6, "speedup": 3.61}
-	if err := AppendTrajectory(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	records, err := LoadTrajectoryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 2 {
-		t.Fatalf("after append, file holds %d records, want 2", len(records))
-	}
-	if records[0].Labels["at"] != "" || records[1].Labels["at"] != "2026-08-08T12:00:00Z" {
-		t.Errorf("record stamps wrong: %v / %v", records[0].Labels, records[1].Labels)
-	}
-	// The file is now a proper array: appending again keeps growing it.
-	if err := AppendTrajectory(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	if records, _ = LoadTrajectoryFile(path); len(records) != 3 {
-		t.Fatalf("second append left %d records, want 3", len(records))
-	}
-}
-
 func TestAppendTrajectoryRefusesMismatch(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -195,7 +149,7 @@ func TestAppendTrajectoryRefusesMismatch(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			path := writeFile(t, legacyBody)
+			path := writeFile(t, "["+legacyBody+"]")
 			err := AppendTrajectory(path, c.rec)
 			var mismatch *TrajectoryMismatchError
 			if !errors.As(err, &mismatch) {
@@ -218,7 +172,7 @@ func TestAppendTrajectoryRefusesMismatch(t *testing.T) {
 // A record that simply lacks an identity field (older schema) imposes no
 // constraint and appends cleanly.
 func TestAppendTrajectoryLegacyRecordUnconstrained(t *testing.T) {
-	path := writeFile(t, legacyBody)
+	path := writeFile(t, "["+legacyBody+"]")
 	if err := AppendTrajectory(path, map[string]any{"speedup": 3.5}); err != nil {
 		t.Fatalf("schema-poor record refused: %v", err)
 	}

@@ -224,7 +224,7 @@ func kindSpecs(cfg pipeline.Config, kind fault.Kind) []matrixCellSpec {
 	reshape := func(s fault.Site, i int) fault.Site {
 		switch kind {
 		case fault.KindTransient:
-			s.Transient = true
+			s.Kind = fault.KindTransient
 			s.FireAt = 5
 		case fault.KindIntermittent:
 			s.Kind = fault.KindIntermittent

@@ -102,25 +102,18 @@ type Site struct {
 	TriggerMask  uint64
 	TriggerValue uint64
 
-	// Transient makes the fault a soft error: it corrupts exactly one use of
-	// the resource (the FireAt-th eligible one; 0 means the first) and then
-	// disappears. SRT's temporal redundancy suffices for these — BlackJack
-	// inherits that coverage (Section 1: the technique detects soft errors
-	// in addition to hard ones).
-	Transient bool
-	// FireAt selects which eligible use a transient corrupts (1-based; 0
-	// means 1).
+	// FireAt selects which eligible use a KindTransient site corrupts
+	// (1-based; 0 means 1).
 	FireAt uint64
 
 	// ArmAt, when positive on a non-transient site, models a latent hard
 	// defect manifesting over time (the paper's Section 1 wear-out scenario:
 	// electromigration, oxide breakdown): the site is dormant for its first
 	// ArmAt-1 eligible uses and corrupts every use from the ArmAt-th on.
-	// Ignored for transients (FireAt already selects their one shot).
+	// Transients cannot have one (FireAt selects their one shot).
 	ArmAt uint64
 
-	// Kind selects the fault model. The zero value (KindPermanent) keeps the
-	// legacy semantics: permanent, or one-shot when Transient is set.
+	// Kind selects the fault model; the zero value is KindPermanent.
 	Kind Kind
 
 	// DutyPeriod/DutyOn define a KindIntermittent site's duty cycle in
@@ -154,7 +147,7 @@ func (s Site) String() string {
 		if s.FlipBranch {
 			what = "branch"
 		}
-		if s.kind() == KindControlFlow && !s.FlipBranch {
+		if s.Kind == KindControlFlow && !s.FlipBranch {
 			what = "branch-target"
 		}
 		base = fmt.Sprintf("backend-way %v/%d (%s)", s.Unit, s.Way, what)
@@ -165,8 +158,8 @@ func (s Site) String() string {
 	default:
 		return "unknown fault site"
 	}
-	if k := s.kind(); k != KindPermanent && k != KindTransient {
-		base += " " + k.String()
+	if s.Kind != KindPermanent && s.Kind != KindTransient {
+		base += " " + s.Kind.String()
 	}
 	return base
 }
@@ -331,7 +324,7 @@ func (inj *Injector) CorruptResult(class isa.UnitClass, way int, in isa.Inst, v 
 	for i := range inj.Sites {
 		s := &inj.Sites[i]
 		if s.Class == BackendWay && s.Unit == class && s.Way == way &&
-			!s.CorruptAddr && !s.FlipBranch && s.kind() != KindControlFlow &&
+			!s.CorruptAddr && !s.FlipBranch && s.Kind != KindControlFlow &&
 			s.triggered(v) && inj.fires(i) {
 			if nv := s.corruptValue(v); nv != v {
 				v = nv
@@ -378,7 +371,7 @@ func (inj *Injector) CorruptBranchTarget(class isa.UnitClass, way int, target in
 	for i := range inj.Sites {
 		s := &inj.Sites[i]
 		if s.Class == BackendWay && s.Unit == class && s.Way == way &&
-			s.kind() == KindControlFlow && !s.FlipBranch &&
+			s.Kind == KindControlFlow && !s.FlipBranch &&
 			s.triggered(uint64(target)) && inj.fires(i) {
 			if nt := int(s.corruptValue(uint64(target))); nt != target {
 				target = nt

@@ -157,7 +157,7 @@ func TestZeroMaskDefaultsToBitZero(t *testing.T) {
 
 func TestTransientFiresExactlyOnce(t *testing.T) {
 	inj := &Injector{Sites: []Site{{
-		Class: BackendWay, Unit: isa.UnitIntALU, Way: 0, BitMask: 1, Transient: true,
+		Class: BackendWay, Unit: isa.UnitIntALU, Way: 0, BitMask: 1, Kind: KindTransient,
 	}}}
 	in := isa.Inst{Op: isa.OpAdd}
 	if got := inj.CorruptResult(isa.UnitIntALU, 0, in, 10); got != 11 {
@@ -175,7 +175,7 @@ func TestTransientFiresExactlyOnce(t *testing.T) {
 
 func TestTransientFireAtSelectsUse(t *testing.T) {
 	inj := &Injector{Sites: []Site{{
-		Class: RegisterFile, Reg: 3, BitMask: 4, Transient: true, FireAt: 3,
+		Class: RegisterFile, Reg: 3, BitMask: 4, Kind: KindTransient, FireAt: 3,
 	}}}
 	for i := 1; i <= 5; i++ {
 		got := inj.CorruptRegRead(3, 100)
@@ -191,7 +191,7 @@ func TestTransientFireAtSelectsUse(t *testing.T) {
 
 func TestTransientDecodeOneShot(t *testing.T) {
 	inj := &Injector{Sites: []Site{{
-		Class: FrontendWay, Way: 1, Field: FieldRs2, Transient: true,
+		Class: FrontendWay, Way: 1, Field: FieldRs2, Kind: KindTransient,
 	}}}
 	in := isa.Inst{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 4}
 	if got := inj.CorruptDecode(1, in); got == in {

@@ -18,8 +18,10 @@ const (
 	// eligible use, forever (optionally dormant until ArmAt).
 	KindPermanent Kind = iota
 	// KindTransient is a one-shot soft error: exactly one eligible use is
-	// corrupted (the FireAt-th) and the fault then disappears. Equivalent to
-	// the legacy Site.Transient flag.
+	// corrupted (the FireAt-th) and the fault then disappears. SRT's
+	// temporal redundancy suffices for these — BlackJack inherits that
+	// coverage (Section 1: the technique detects soft errors in addition to
+	// hard ones).
 	KindTransient
 	// KindIntermittent is a duty-cycled defect (marginal circuit, thermal or
 	// voltage sensitivity): the site cycles through on/off windows of
@@ -74,27 +76,11 @@ func ParseKind(name string) (Kind, error) {
 	return 0, fmt.Errorf("fault: unknown kind %q (want permanent, transient, intermittent, multi-bit or control-flow)", name)
 }
 
-// kind resolves the site's effective kind: an explicit Kind wins, the legacy
-// Transient flag maps to KindTransient, everything else is permanent.
-func (s *Site) kind() Kind {
-	if s.Kind != KindPermanent {
-		return s.Kind
-	}
-	if s.Transient {
-		return KindTransient
-	}
-	return KindPermanent
-}
-
-// EffectiveKind exposes the resolved kind (explicit Kind, or KindTransient
-// via the legacy Transient flag) for reporting.
-func (s Site) EffectiveKind() Kind { return s.kind() }
-
 // counted reports whether the site's firing decision depends on the running
 // eligible-use count. Permanent (and armed-from-birth) sites skip the counter
 // entirely — the hot-path fast path.
 func (s *Site) counted() bool {
-	switch s.kind() {
+	switch s.Kind {
 	case KindTransient, KindIntermittent:
 		return true
 	}
@@ -106,7 +92,7 @@ func (s *Site) counted() bool {
 // Probe.fires both delegate here, so the probe can never drift from the
 // injector.
 func (s *Site) firesAt(n uint64) bool {
-	switch s.kind() {
+	switch s.Kind {
 	case KindTransient:
 		at := s.FireAt
 		if at == 0 {
@@ -175,7 +161,7 @@ func (s *Site) identitySeed() uint64 {
 // must stay on bit-exact cold/fork paths; permanent and multi-bit defects
 // corrupt every use and are robust to handoff timing.
 func (s Site) FFEligible() bool {
-	switch s.kind() {
+	switch s.Kind {
 	case KindTransient, KindIntermittent, KindControlFlow:
 		return false
 	}
@@ -209,17 +195,13 @@ func (s Site) Validate() error {
 	if s.Field >= NumDecodeFields {
 		return s.invalid("unknown decode field")
 	}
-	if s.Transient && s.Kind != KindPermanent && s.Kind != KindTransient {
-		return s.invalid("Transient flag contradicts Kind")
+	if s.Kind == KindTransient && s.ArmAt > 0 {
+		return s.invalid("a transient cannot have ArmAt (FireAt selects its one shot)")
 	}
-	kind := s.kind()
-	if s.Transient && s.ArmAt > 0 {
-		return s.invalid("Transient and ArmAt are mutually exclusive (FireAt selects a transient's shot)")
-	}
-	if s.FireAt > 0 && kind != KindTransient {
+	if s.FireAt > 0 && s.Kind != KindTransient {
 		return s.invalid("FireAt requires a transient site")
 	}
-	if kind == KindIntermittent {
+	if s.Kind == KindIntermittent {
 		if s.DutyPeriod == 0 {
 			return s.invalid("intermittent site needs DutyPeriod >= 1")
 		}
@@ -247,7 +229,7 @@ func (s Site) Validate() error {
 	if s.FlipBranch && s.CorruptAddr {
 		return s.invalid("FlipBranch and CorruptAddr are mutually exclusive")
 	}
-	switch kind {
+	switch s.Kind {
 	case KindMultiBit:
 		if bits.OnesCount64(s.BitMask) < 2 && bits.OnesCount64(s.StuckMask) < 2 {
 			return s.invalid("multi-bit site needs a flip or stuck mask with at least two bits")

@@ -39,8 +39,7 @@ func TestValidateInvalidCombos(t *testing.T) {
 		{"unknown class", Site{Class: NumClasses}},
 		{"unknown kind", Site{Kind: NumKinds}},
 		{"unknown decode field", Site{Class: FrontendWay, Field: NumDecodeFields}},
-		{"transient flag contradicts kind", Site{Kind: KindIntermittent, Transient: true, DutyPeriod: 4, DutyOn: 2}},
-		{"transient plus armat", be(Site{Transient: true, ArmAt: 5})},
+		{"transient plus armat", be(Site{Kind: KindTransient, ArmAt: 5})},
 		{"fireat without transient", Site{Class: RegisterFile, FireAt: 3}},
 		{"intermittent without period", Site{Class: RegisterFile, Kind: KindIntermittent, DutyOn: 1}},
 		{"intermittent zero on-window", Site{Class: RegisterFile, Kind: KindIntermittent, DutyPeriod: 4}},
@@ -79,7 +78,6 @@ func TestValidateAcceptsCanonicalSites(t *testing.T) {
 		{Class: FrontendWay, Way: 1, Field: FieldRs2},
 		{Class: BackendWay, Unit: isa.UnitIntALU, BitMask: 1 << 9, ArmAt: 500},
 		{Class: BackendWay, Unit: isa.UnitMem, CorruptAddr: true, BitMask: 1},
-		{Class: RegisterFile, Reg: 40, Transient: true, FireAt: 3},
 		{Class: RegisterFile, Reg: 40, Kind: KindTransient, FireAt: 3},
 		{Class: PayloadRAM, Slot: 2, Kind: KindIntermittent, Field: FieldImm, DutyPeriod: 8, DutyOn: 4, DutyProb: 75},
 		{Class: BackendWay, Unit: isa.UnitIntALU, Kind: KindMultiBit, StuckMask: 0xFF00, StuckValue: 0xA500},

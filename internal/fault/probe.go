@@ -73,7 +73,7 @@ func (pr *Probe) ensure() {
 			switch {
 			case s.FlipBranch:
 				pr.beBr[key] = append(pr.beBr[key], i)
-			case s.kind() == KindControlFlow:
+			case s.Kind == KindControlFlow:
 				pr.beTgt[key] = append(pr.beTgt[key], i)
 			case s.CorruptAddr:
 				pr.beAddr[key] = append(pr.beAddr[key], i)

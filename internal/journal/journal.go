@@ -1,5 +1,14 @@
-// Package journal provides the crash-resumable run log underlying long
-// campaigns and fuzz sessions. A journal is a JSONL file: one header line
+// Package journal is the repository's one durable-storage layer: every
+// byte that must survive a crash is written here. It provides the
+// crash-resumable append log underlying long campaigns, fuzz sessions and
+// served job lifecycles, plus WriteFileAtomic for whole-file replacements
+// (job specs and results, run-cache entries, BENCH trajectories).
+// WriteFileAtomic also fsyncs the directory it renames in, so a file it
+// wrote survives power loss; a journal fsyncs its records but not the
+// directory entry of a newly created file, which power loss may drop
+// (the items it held are then run again).
+//
+// A journal is a JSONL file: one header line
 // identifying the workload (kind + a key fingerprinting the parameters that
 // determine run identity), followed by one envelope line per completed work
 // item. Appends are batched and fsync'd so that after a crash or SIGKILL at
@@ -183,6 +192,29 @@ func Open[R any](path string, hdr Header) (*Journal[R], map[int]R, error) {
 	return j, done, nil
 }
 
+// Read returns the records of the existing journal at path without
+// opening it for appends: it takes no lock and neither creates the file
+// nor truncates a torn tail, so it is safe beside a live writer. The
+// header is validated and torn tails are skipped exactly as Open does;
+// a missing file returns an error satisfying errors.Is(err,
+// os.ErrNotExist).
+func Read[R any](path string, hdr Header) (map[int]R, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if info.Size() == 0 {
+		return map[int]R{}, nil // created, header not yet written
+	}
+	done, _, err := scan[R](f, hdr)
+	return done, err
+}
+
 // scan reads and validates an existing journal, returning the completed
 // records and the byte offset just past the last intact line.
 func scan[R any](f *os.File, want Header) (map[int]R, int64, error) {
@@ -296,7 +328,12 @@ func (j *Journal[R]) Sync() error {
 	return j.syncLocked()
 }
 
+// syncLocked flushes and fsyncs the records appended since the last sync;
+// with none pending there is nothing to make durable and no fsync is paid.
 func (j *Journal[R]) syncLocked() error {
+	if j.pending == 0 {
+		return nil
+	}
 	if err := j.w.Flush(); err != nil {
 		return err
 	}
@@ -307,7 +344,8 @@ func (j *Journal[R]) syncLocked() error {
 	return nil
 }
 
-// Close flushes, fsyncs and closes the journal file.
+// Close flushes and fsyncs any pending records, then closes the journal
+// file (releasing its lock).
 func (j *Journal[R]) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -315,11 +353,7 @@ func (j *Journal[R]) Close() error {
 		return nil
 	}
 	j.closed = true
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncLocked(); err != nil {
 		j.f.Close()
 		return err
 	}

@@ -387,3 +387,150 @@ func TestTornTailHealsAfterSIGKILLedWriter(t *testing.T) {
 		t.Fatalf("resume after heal sees %d records, want %d", len(done), n+1)
 	}
 }
+
+func TestDiffParts(t *testing.T) {
+	base := []string{"program=gcc", "mode=blackjack", "n=8000"}
+	cases := []struct {
+		name string
+		have []string
+		want []string
+		sub  string
+	}{
+		{"identical", base, base, ""},
+		{"changed value", []string{"program=gcc", "mode=blackjack", "n=9000"}, base, `file has "n=9000", workload has "n=8000"`},
+		{"workload longer", base[:2], base, `workload adds parameter "n=8000"`},
+		{"file longer", base, base[:2], `file has extra parameter "n=8000"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkDiffParts(t, tc.have, tc.want, tc.sub)
+		})
+	}
+}
+
+// TestDiffPartsNamesFirstMismatch: when several parameters differ, the
+// message names the earliest one — the stable anchor a user greps for. A
+// side without parts (a header written without diagnostics) yields no
+// description: the folded keys alone decide the refusal.
+func TestDiffPartsNamesFirstMismatch(t *testing.T) {
+	cases := []struct {
+		name       string
+		have, want []string
+		sub        string
+	}{
+		{"first of several diffs wins",
+			[]string{"program=gzip", "mode=srt", "n=9000"},
+			[]string{"program=gcc", "mode=blackjack", "n=8000"},
+			`file has "program=gzip", workload has "program=gcc"`},
+		{"later diffs not reported",
+			[]string{"program=gcc", "mode=srt", "n=9000"},
+			[]string{"program=gcc", "mode=blackjack", "n=8000"},
+			`file has "mode=srt", workload has "mode=blackjack"`},
+		{"both empty", nil, nil, ""},
+		{"empty file vs workload", nil, []string{"program=gcc"}, ""},
+		{"file vs empty workload", []string{"program=gcc"}, nil, ""},
+		{"empty-string part still compared",
+			[]string{""}, []string{"program=gcc"},
+			`file has "", workload has "program=gcc"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkDiffParts(t, tc.have, tc.want, tc.sub)
+		})
+	}
+}
+
+func checkDiffParts(t *testing.T, have, want []string, sub string) {
+	t.Helper()
+	got := diffParts(have, want)
+	if sub == "" {
+		if got != "" {
+			t.Fatalf("diffParts = %q, want empty", got)
+		}
+		return
+	}
+	if !strings.Contains(got, sub) {
+		t.Fatalf("diffParts = %q, want substring %q", got, sub)
+	}
+}
+
+func TestWriteFileAtomicReplacesWithoutResidue(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "result.txt")
+	for _, body := range []string{"first\n", "second, longer body\n"} {
+		if err := WriteFileAtomic(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != body {
+			t.Fatalf("file holds %q, want %q", got, body)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after two writes, want only the target", len(entries))
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("mode = %v (%v), want 0644", info.Mode().Perm(), err)
+	}
+}
+
+// Read is the scan a second process may run beside a live writer: it
+// must not contend for the lock, create the file or heal a torn tail (the
+// writer's next Open does that).
+func TestReadTakesNoLockAndWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	if _, err := Read[rec](path, hdr()); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Read of a missing journal: err = %v, want ErrNotExist", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Read created the journal (stat err = %v)", err)
+	}
+	j, _, err := Open[rec](path, hdr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 3; i++ {
+		if err := j.Append(i, rec{Site: fmt.Sprintf("s%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"i":3,"r":{"sit`)
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done, err := Read[rec](path, hdr()) // the writer still holds the lock
+	if err != nil {
+		t.Fatalf("Read beside a live writer: %v", err)
+	}
+	if len(done) != 3 || done[2].Site != "s2" {
+		t.Fatalf("Read returned %v, want the 3 intact records", done)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatalf("Read changed the file:\n%q\nbecame\n%q", before, after)
+	}
+	if _, err := Read[rec](path, Header{Kind: "fuzz", Key: 1, Version: 1}); !errors.Is(err, ErrKeyMismatch) {
+		t.Fatalf("Read under another workload: err = %v, want ErrKeyMismatch", err)
+	}
+}

@@ -23,3 +23,17 @@ func lockFile(f *os.File) error {
 	}
 	return nil
 }
+
+// syncDir fsyncs a directory, making the renames and creations in it
+// durable.
+func syncDir(path string) error {
+	d, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

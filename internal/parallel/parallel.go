@@ -19,8 +19,8 @@
 // *PanicError for that index (site, stack preserved) instead of tearing down
 // the whole campaign's process. The Ctx variants additionally observe a
 // context: cancellation stops new items from starting, and the context's
-// error is reported only when no item error outranks it (see
-// ForEachWorkerCtx for the exact ordering).
+// error is reported only when no item error outranks it (see forEach for
+// the exact ordering).
 //
 // Workers pull indices from a single atomic counter, so no work list is
 // materialized and the pool costs O(workers) goroutines regardless of n.
@@ -73,31 +73,12 @@ func protect(fn func(worker, i int) error, worker, i int) (err error) {
 	return fn(worker, i)
 }
 
-// ForEach invokes fn(i) for every i in [0, n) from at most workers
-// goroutines and blocks until all invocations finish. When any invocation
-// fails, no new work is started and the lowest-indexed error among the items
-// that ran is returned — the deterministic analogue of a serial loop's first
-// error. fn must be safe for concurrent invocation on distinct indices.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachWorkerCtx(context.Background(), workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachCtx is ForEach under a context: no new items start once ctx is
-// cancelled (see ForEachWorkerCtx for the error-ordering contract).
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachWorkerCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with the invoking worker's index [0, workers)
-// passed alongside the item index, so callers can maintain per-worker scratch
-// state (a reusable detection sink, a scratch machine) without locking: a
-// worker runs its items sequentially, so state keyed by worker index is never
-// touched concurrently. The serial fast path always reports worker 0.
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	return ForEachWorkerCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachWorkerCtx is the pool's core loop. Cancellation and error ordering:
+// forEach is the pool's core loop: it invokes fn(worker, i) for every i in
+// [0, n) from at most workers goroutines and blocks until all invocations
+// finish. The worker index [0, workers) lets callers keep per-worker
+// scratch state without locking: a worker runs its items sequentially, and
+// the serial fast path always reports worker 0. Cancellation and error
+// ordering:
 //
 //   - a panic inside fn becomes a *PanicError for that index, never a
 //     process crash;
@@ -108,7 +89,7 @@ func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
 //     a cancelled context's error surface. Item errors outrank ctx.Err()
 //     because they carry the actionable diagnosis — the cancellation is
 //     usually a consequence of shutdown, not the cause of the failure.
-func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
+func forEach(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -175,34 +156,31 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 }
 
 // Map invokes fn(i) for every i in [0, n) from at most workers goroutines
-// and returns the results assembled in input order. Error semantics match
-// ForEach: first failing index wins, outstanding work is cancelled, and a
-// non-nil error means the result slice is nil.
+// and returns the results assembled in input order. When any invocation
+// fails, no new work is started, the lowest-indexed error among the items
+// that ran is returned — the deterministic analogue of a serial loop's
+// first error — and the result slice is nil. fn must be safe for
+// concurrent invocation on distinct indices.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorkerCtx(context.Background(), workers, n, func(_, i int) (T, error) { return fn(i) })
+	return MapCtx(context.Background(), workers, n, fn)
 }
 
-// MapCtx is Map under a context (see ForEachWorkerCtx for the cancellation
+// MapCtx is Map under a context (see forEach for the cancellation
 // contract).
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorkerCtx(ctx, workers, n, func(_, i int) (T, error) { return fn(i) })
+	return mapWorker(ctx, workers, n, func(_, i int) (T, error) { return fn(i) })
 }
 
-// MapWorkerState is MapWorker with the per-worker scratch state made
-// explicit: newState builds one S per worker before any work starts, fn
-// receives its worker's state, and the states are returned alongside the
-// results so the caller can fold them back together deterministically
-// (e.g. merging per-worker metrics registries or detection sinks in state
-// order — the fold is only order-independent if the caller's merge
-// operation is commutative, since which worker ran which item is not
-// deterministic). On error the states are still returned for inspection.
-func MapWorkerState[S, T any](workers, n int, newState func() S, fn func(state S, worker, i int) (T, error)) ([]T, []S, error) {
-	return MapWorkerStateCtx(context.Background(), workers, n, newState, fn)
-}
-
-// MapWorkerStateCtx is MapWorkerState under a context. On cancellation the
-// states are still returned, holding whatever the workers accumulated before
-// stopping — the graceful-shutdown path flushes those partial aggregates.
+// MapWorkerStateCtx is MapCtx with per-worker scratch state: newState
+// builds one S per worker before any work starts, fn receives its worker's
+// state, and the states are returned alongside the results so the caller
+// can fold them back together deterministically (e.g. merging per-worker
+// metrics registries or detection sinks in state order — the fold is only
+// order-independent if the caller's merge operation is commutative, since
+// which worker ran which item is not deterministic). On error or
+// cancellation the states are still returned, holding whatever the
+// workers accumulated before stopping — the graceful-shutdown path flushes
+// those partial aggregates.
 func MapWorkerStateCtx[S, T any](ctx context.Context, workers, n int, newState func() S, fn func(state S, worker, i int) (T, error)) ([]T, []S, error) {
 	nw := Workers(workers)
 	if nw > n {
@@ -215,23 +193,17 @@ func MapWorkerStateCtx[S, T any](ctx context.Context, workers, n int, newState f
 	for i := range states {
 		states[i] = newState()
 	}
-	out, err := MapWorkerCtx(ctx, workers, n, func(worker, i int) (T, error) {
+	out, err := mapWorker(ctx, workers, n, func(worker, i int) (T, error) {
 		return fn(states[worker], worker, i)
 	})
 	return out, states, err
 }
 
-// MapWorker is Map with the invoking worker's index passed alongside the item
-// index (see ForEachWorker for the per-worker-state contract).
-func MapWorker[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	return MapWorkerCtx(context.Background(), workers, n, fn)
-}
-
-// MapWorkerCtx is MapWorker under a context (see ForEachWorkerCtx for the
-// cancellation contract).
-func MapWorkerCtx[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
+// mapWorker runs fn through forEach and assembles the results in input
+// order (nil on error).
+func mapWorker[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachWorkerCtx(ctx, workers, n, func(worker, i int) error {
+	err := forEach(ctx, workers, n, func(worker, i int) error {
 		v, err := fn(worker, i)
 		if err != nil {
 			return err

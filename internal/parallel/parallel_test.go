@@ -42,10 +42,11 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// The core loop (forEach) runs every item exactly once.
 func TestForEachRunsEverything(t *testing.T) {
 	const n = 257
 	var ran atomic.Int64
-	if err := ForEach(8, n, func(int) error { ran.Add(1); return nil }); err != nil {
+	if _, err := Map(8, n, func(int) (struct{}, error) { ran.Add(1); return struct{}{}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != n {
@@ -53,9 +54,11 @@ func TestForEachRunsEverything(t *testing.T) {
 	}
 }
 
+// The core loop (forEach) never calls fn when there are no items.
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
-		t.Fatal(err)
+	out, err := Map(4, 0, func(int) (int, error) { t.Fatal("fn called"); return 0, nil })
+	if err != nil || len(out) != 0 {
+		t.Fatalf("Map over zero items = %v, %v; want no results, no error", out, err)
 	}
 }
 
@@ -63,12 +66,12 @@ func TestFirstErrorWinsSerial(t *testing.T) {
 	// With one worker the loop is strictly serial: item 3 fails and item 4
 	// must never run.
 	var ran atomic.Int64
-	err := ForEach(1, 10, func(i int) error {
+	_, err := Map(1, 10, func(i int) (int, error) {
 		ran.Add(1)
 		if i >= 3 {
-			return fmt.Errorf("item %d", i)
+			return 0, fmt.Errorf("item %d", i)
 		}
-		return nil
+		return i, nil
 	})
 	if err == nil || err.Error() != "item 3" {
 		t.Errorf("err = %v, want item 3", err)
@@ -82,7 +85,7 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	// Every item fails; regardless of scheduling, the reported error must be
 	// the lowest index that ran — and index 0 always runs.
 	for _, workers := range []int{2, 8} {
-		err := ForEach(workers, 50, func(i int) error { return fmt.Errorf("item %d", i) })
+		_, err := Map(workers, 50, func(i int) (int, error) { return 0, fmt.Errorf("item %d", i) })
 		if err == nil || err.Error() != "item 0" {
 			t.Errorf("workers=%d: err = %v, want item 0", workers, err)
 		}
@@ -91,9 +94,9 @@ func TestLowestIndexErrorWins(t *testing.T) {
 
 func TestErrorCancelsRemainingWork(t *testing.T) {
 	var ran atomic.Int64
-	err := ForEach(2, 10_000, func(i int) error {
+	_, err := Map(2, 10_000, func(i int) (int, error) {
 		ran.Add(1)
-		return errors.New("boom")
+		return 0, errors.New("boom")
 	})
 	if err == nil {
 		t.Fatal("expected error")
@@ -142,12 +145,12 @@ func TestPanicBecomesErrorSerial(t *testing.T) {
 	// The serial fast path must contain panics exactly like the pooled path:
 	// a *PanicError with the item index and a stack, not a crash.
 	var ran atomic.Int64
-	err := ForEach(1, 10, func(i int) error {
+	_, err := Map(1, 10, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 2 {
 			panic("kaboom")
 		}
-		return nil
+		return i, nil
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -165,11 +168,11 @@ func TestPanicBecomesErrorSerial(t *testing.T) {
 }
 
 func TestPanicBecomesErrorParallel(t *testing.T) {
-	err := ForEach(4, 100, func(i int) error {
+	_, err := Map(4, 100, func(i int) (int, error) {
 		if i == 0 {
 			panic(fmt.Errorf("wrapped %d", i))
 		}
-		return nil
+		return i, nil
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -185,7 +188,7 @@ func TestCancelledContextRunsNothing(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEachCtx(ctx, workers, 50, func(i int) error { ran.Add(1); return nil })
+		_, err := MapCtx(ctx, workers, 50, func(i int) (int, error) { ran.Add(1); return i, nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -201,12 +204,12 @@ func TestErrorOutranksCancellation(t *testing.T) {
 	// cancellation is the shutdown it triggered.
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := ForEachCtx(ctx, workers, 1000, func(i int) error {
+		_, err := MapCtx(ctx, workers, 1000, func(i int) (int, error) {
 			if i == 0 {
 				cancel()
-				return errors.New("root cause")
+				return 0, errors.New("root cause")
 			}
-			return nil
+			return i, nil
 		})
 		cancel()
 		if err == nil || err.Error() != "root cause" {
@@ -218,11 +221,11 @@ func TestErrorOutranksCancellation(t *testing.T) {
 func TestCancellationStopsNewItems(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ForEachCtx(ctx, 2, 100_000, func(i int) error {
+	_, err := MapCtx(ctx, 2, 100_000, func(i int) (int, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
-		return nil
+		return i, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -240,7 +243,7 @@ func TestMapWorkerStateDeterministicMerge(t *testing.T) {
 	const n = 500
 	fold := func(workers int) (sum, count int) {
 		type state struct{ sum, count int }
-		_, states, err := MapWorkerState(workers, n,
+		_, states, err := MapWorkerStateCtx(context.Background(), workers, n,
 			func() *state { return &state{} },
 			func(s *state, _, i int) (struct{}, error) {
 				s.sum += i

@@ -11,8 +11,8 @@
 //
 // The same Identity feeds three consumers:
 //
-//   - Hash64 folds the parts through FNV-64a with NUL separators — the same
-//     folding discipline as journal.KeyHash — for the journal header key.
+//   - Hash64 folds the parts through journal.KeyHash for the journal
+//     header key.
 //   - Parts returns the human-readable parts so journal headers can report
 //     *which* parameter changed on a resume mismatch.
 //   - ID hashes the parts through SHA-256 for cache entry addressing.
@@ -23,7 +23,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+
+	"blackjack/internal/journal"
 )
 
 // Identity is an ordered list of `key=value` parts defining run identity.
@@ -72,17 +73,9 @@ func (id *Identity) Parts() []string {
 	return append([]string(nil), id.parts...)
 }
 
-// Hash64 folds the parts through FNV-64a with NUL separators between
-// parts — identical folding to journal.KeyHash, so journal headers keyed
-// on an Identity are stable across both layers.
-func (id *Identity) Hash64() uint64 {
-	h := fnv.New64a()
-	for _, p := range id.parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
-}
+// Hash64 is the journal header key of the identity: its parts folded by
+// journal.KeyHash.
+func (id *Identity) Hash64() uint64 { return journal.KeyHash(id.parts...) }
 
 // ID returns the SHA-256 hex digest of the NUL-separated parts: the cache
 // entry address. The format epoch is deliberately NOT folded in — entries
@@ -95,27 +88,4 @@ func (id *Identity) ID() string {
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// DiffParts compares two part lists and describes the first difference in
-// human terms ("" when identical). It powers ErrKeyMismatch diagnostics:
-// the journal header records Parts so resume can say which parameter
-// changed instead of only that the folded keys differ.
-func DiffParts(have, want []string) string {
-	n := len(have)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
-		if have[i] != want[i] {
-			return fmt.Sprintf("parameter changed: file has %q, workload has %q", have[i], want[i])
-		}
-	}
-	switch {
-	case len(have) < len(want):
-		return fmt.Sprintf("workload adds parameter %q", want[n])
-	case len(have) > len(want):
-		return fmt.Sprintf("file has extra parameter %q", have[n])
-	}
-	return ""
 }

@@ -15,13 +15,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blackjack/internal/journal"
 	"blackjack/internal/obs"
 )
 
 // FormatEpoch is the cache-format epoch. Bump it whenever the semantics of
 // a cached outcome change (record schema, classification rules, pipeline
 // timing) so every stale entry is refused on read and refilled live.
-const FormatEpoch = 1
+// Epoch 2: fault sites encode their kind only through Site.Kind (the
+// legacy Transient flag is gone), so identities changed shape.
+const FormatEpoch = 2
 
 // EnvDir is the environment variable that opts a machine into caching:
 // when set, the CLIs default -cache-dir to its value.
@@ -164,28 +167,12 @@ func (s *Store) Put(id *Identity, v any) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runcache: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("runcache: %w", err)
-	}
-	_, werr := tmp.Write(blob)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: write entry: %w", werr)
-	}
 	var oldSize int64
 	if info, err := os.Stat(path); err == nil {
 		oldSize = info.Size()
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: commit entry: %w", err)
+	if err := journal.WriteFileAtomic(path, blob); err != nil {
+		return fmt.Errorf("runcache: write entry: %w", err)
 	}
 	s.puts.Add(1)
 	s.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,35 +48,6 @@ func TestIdentityEncoding(t *testing.T) {
 	}
 	if got := a.Parts(); len(got) != 2 || got[0] != "program=gcc" || got[1] != "n=8000" {
 		t.Fatalf("Parts() = %v", got)
-	}
-}
-
-func TestDiffParts(t *testing.T) {
-	base := []string{"program=gcc", "mode=blackjack", "n=8000"}
-	cases := []struct {
-		name string
-		have []string
-		want []string
-		sub  string
-	}{
-		{"identical", base, base, ""},
-		{"changed value", []string{"program=gcc", "mode=blackjack", "n=9000"}, base, `file has "n=9000", workload has "n=8000"`},
-		{"workload longer", base[:2], base, `workload adds parameter "n=8000"`},
-		{"file longer", base, base[:2], `file has extra parameter "n=8000"`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := DiffParts(tc.have, tc.want)
-			if tc.sub == "" {
-				if got != "" {
-					t.Fatalf("DiffParts = %q, want empty", got)
-				}
-				return
-			}
-			if !strings.Contains(got, tc.sub) {
-				t.Fatalf("DiffParts = %q, want substring %q", got, tc.sub)
-			}
-		})
 	}
 }
 
@@ -292,15 +264,68 @@ func TestStoreAtomicTempCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(testIdentity(), outcome{Class: "ok"}); err != nil {
-		t.Fatal(err)
+	id := testIdentity()
+	for _, class := range []string{"ok", "replaced"} {
+		if err := s.Put(id, outcome{Class: class}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, "tmp-*"))
+	// The atomic-write helper stages its temp file beside the entry, in
+	// the entry's shard directory; after the writes only the entry remains.
+	entry := s.entryPath(id.ID())
+	files, err := os.ReadDir(filepath.Dir(entry))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) != 0 {
-		t.Fatalf("temp files left behind: %v", matches)
+	if len(files) != 1 || files[0].Name() != filepath.Base(entry) {
+		names := make([]string, len(files))
+		for i, f := range files {
+			names[i] = f.Name()
+		}
+		t.Fatalf("shard directory holds %v, want only %s", names, filepath.Base(entry))
+	}
+	top, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range top {
+		if !f.IsDir() {
+			t.Errorf("stray file %s at the store root", f.Name())
+		}
+	}
+}
+
+// TestStoreParallelPutGet drives Put and Get from several goroutines on
+// overlapping entries: every Get must see either a miss or a complete
+// entry, and the counters must add up.
+func TestStoreParallelPutGet(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 4, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				id := testIdentity("k=" + strconv.Itoa(r%5))
+				if err := s.Put(id, outcome{Class: "ok", Cycle: int64(r % 5)}); err != nil {
+					t.Error(err)
+					return
+				}
+				var got outcome
+				if s.Get(id, &got) && (got.Class != "ok" || got.Cycle != int64(r%5)) {
+					t.Errorf("worker %d round %d read %+v", w, r, got)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Puts != workers*rounds || st.Hits+st.Misses != workers*rounds || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want %d puts, %d lookups, no corruption", st, workers*rounds, workers*rounds)
 	}
 }
 
@@ -358,49 +383,6 @@ func TestExportCounters(t *testing.T) {
 	}
 	if reg.CounterValue("runcache.bytes") == 0 {
 		t.Error("runcache.bytes not exported")
-	}
-}
-
-// TestDiffPartsNamesFirstMismatch: when several parameters differ, the
-// message names the earliest one — the stable anchor a user greps for.
-func TestDiffPartsNamesFirstMismatch(t *testing.T) {
-	cases := []struct {
-		name       string
-		have, want []string
-		sub        string
-	}{
-		{"first of several diffs wins",
-			[]string{"program=gzip", "mode=srt", "n=9000"},
-			[]string{"program=gcc", "mode=blackjack", "n=8000"},
-			`file has "program=gzip", workload has "program=gcc"`},
-		{"later diffs not reported",
-			[]string{"program=gcc", "mode=srt", "n=9000"},
-			[]string{"program=gcc", "mode=blackjack", "n=8000"},
-			`file has "mode=srt", workload has "mode=blackjack"`},
-		{"both empty", nil, nil, ""},
-		{"empty file vs workload",
-			nil, []string{"program=gcc"},
-			`workload adds parameter "program=gcc"`},
-		{"file vs empty workload",
-			[]string{"program=gcc"}, nil,
-			`file has extra parameter "program=gcc"`},
-		{"empty-string part still compared",
-			[]string{""}, []string{"program=gcc"},
-			`file has "", workload has "program=gcc"`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := DiffParts(tc.have, tc.want)
-			if tc.sub == "" {
-				if got != "" {
-					t.Fatalf("DiffParts = %q, want empty", got)
-				}
-				return
-			}
-			if !strings.Contains(got, tc.sub) {
-				t.Fatalf("DiffParts = %q, want substring %q", got, tc.sub)
-			}
-		})
 	}
 }
 

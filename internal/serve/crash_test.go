@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"blackjack"
+	"blackjack/internal/journal"
 )
 
 // TestMain lets this test binary double as a real bjserve process: the
@@ -45,7 +46,7 @@ func crashServerMain(stateDir, addrFile string) {
 		fmt.Fprintln(os.Stderr, "crash server:", err)
 		os.Exit(1)
 	}
-	if err := atomicWrite(addrFile, []byte(ln.Addr().String())); err != nil {
+	if err := journal.WriteFileAtomic(addrFile, []byte(ln.Addr().String())); err != nil {
 		fmt.Fprintln(os.Stderr, "crash server:", err)
 		os.Exit(1)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"blackjack"
 	"blackjack/internal/diffcheck"
+	"blackjack/internal/journal"
 )
 
 // runJob executes one attempt of a job and settles its next state:
@@ -41,7 +42,7 @@ func (s *Server) runJob(j *Job) {
 	defer s.mu.Unlock()
 	switch {
 	case err == nil:
-		if werr := atomicWrite(filepath.Join(jobDir(s.opts.StateDir, j.ID), "result.txt"), []byte(result)); werr != nil {
+		if werr := journal.WriteFileAtomic(filepath.Join(jobDir(s.opts.StateDir, j.ID), "result.txt"), []byte(result)); werr != nil {
 			s.transitionLocked(j, StateFailed, "result persist failed: "+werr.Error())
 			s.metrics.Counter("serve.jobs.failed").Inc()
 			return

@@ -160,16 +160,17 @@ func (s *Server) Start() {
 }
 
 // Submit admits one parsed spec: capacity check, durable persist, enqueue.
-// It returns the new job and, on ErrOverCapacity, a Retry-After estimate.
-func (s *Server) Submit(spec *Spec) (*Job, time.Duration, error) {
+// It returns a copy of the new job's view (the executor may already be
+// updating the live one) and, on ErrOverCapacity, a Retry-After estimate.
+func (s *Server) Submit(spec *Spec) (Job, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, 0, ErrDraining
+		return Job{}, 0, ErrDraining
 	}
 	if s.sched.depth >= s.opts.QueueCap {
 		s.metrics.Counter("serve.jobs.rejected").Inc()
-		return nil, s.retryAfterLocked(), ErrOverCapacity
+		return Job{}, s.retryAfterLocked(), ErrOverCapacity
 	}
 	s.seq++
 	j := &Job{
@@ -181,7 +182,7 @@ func (s *Server) Submit(spec *Spec) (*Job, time.Duration, error) {
 	}
 	dir := jobDir(s.opts.StateDir, j.ID)
 	if err := persistSpec(dir, spec); err != nil {
-		return nil, 0, err
+		return Job{}, 0, err
 	}
 	s.jobs[j.ID] = j
 	s.hubs[j.ID] = newHub()
@@ -191,7 +192,7 @@ func (s *Server) Submit(spec *Spec) (*Job, time.Duration, error) {
 	s.metrics.Counter("serve.tenant." + spec.Tenant + ".jobs").Inc()
 	s.metrics.Gauge("serve.queue.depth").Set(float64(s.sched.depth))
 	s.wakeup()
-	return j, 0, nil
+	return *j, 0, nil
 }
 
 // retryAfterLocked estimates when capacity frees up: the queue ahead of the
@@ -255,7 +256,14 @@ func (s *Server) transitionLocked(j *Job, st State, detail string) {
 		j.Submitted = now
 	}
 	t := Transition{State: st, At: now, Attempt: j.Attempt, Detail: detail}
-	if err := appendTransition(jobDir(s.opts.StateDir, j.ID), t); err != nil {
+	log, done, err := openStateLog(s.opts.StateDir, j.ID)
+	if err == nil {
+		err = log.Append(len(done), t)
+		if cerr := log.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		// The in-memory view stays authoritative for this process; the
 		// event stream carries the persistence failure.
 		s.hubs[j.ID].publish(Event{Job: j.ID, Kind: "log", At: now,

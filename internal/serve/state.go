@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,11 +9,13 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"blackjack/internal/journal"
 )
 
 // State is a job's position in its lifecycle. Transitions are append-only
-// records in the job's state journal, so the last well-formed line is the
-// truth after any crash.
+// records in the job's state log, so the last intact record is the truth
+// after any crash.
 type State string
 
 const (
@@ -73,13 +74,13 @@ type Job struct {
 // jobDir is the job's slice of the state directory:
 //
 //	jobs/<id>/spec.json     the admitted spec (atomic write, immutable)
-//	jobs/<id>/state.jsonl   append-only transition journal (fsync'd)
+//	jobs/<id>/state.jsonl   the job's state log: a journal of transitions
 //	jobs/<id>/*.journal     campaign/fuzz run journals (crash-resumable)
 //	jobs/<id>/result.txt    rendered outcome tables (atomic write)
 func jobDir(stateDir, id string) string { return filepath.Join(stateDir, "jobs", id) }
 
-// persistSpec writes the admitted spec once, atomically: temp file + rename
-// so a crash never leaves a half-written spec.
+// persistSpec writes the admitted spec once, atomically, so a crash never
+// leaves a half-written spec.
 func persistSpec(dir string, spec *Spec) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -88,78 +89,41 @@ func persistSpec(dir string, spec *Spec) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(dir, "spec.json"), append(buf, '\n'))
+	return journal.WriteFileAtomic(filepath.Join(dir, "spec.json"), append(buf, '\n'))
 }
 
-// atomicWrite is temp + fsync + rename in the target's directory.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
+// stateLogVersion is the state-log record schema version.
+const stateLogVersion = 1
+
+// stateLog returns the path of a job's state log and the header it
+// carries: the log is a journal keyed on the job ID, so a state log from
+// another job, or one written before state logs were journals, is refused.
+func stateLog(stateDir, id string) (string, journal.Header) {
+	part := "job=" + id
+	return filepath.Join(jobDir(stateDir, id), "state.jsonl"), journal.Header{
+		Kind: "serve-state", Key: journal.KeyHash(part), Version: stateLogVersion,
+		Parts: []string{part},
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
-// appendTransition durably appends one state record to the job's state
-// journal. Appends are fsync'd: after a SIGKILL the journal's last
-// well-formed line is the job's true state, and a torn final line (crash
-// mid-append) is ignored by loadTransitions.
-func appendTransition(dir string, t Transition) error {
-	f, err := os.OpenFile(filepath.Join(dir, "state.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openStateLog opens (creating if absent) a job's state log for appending
+// and returns it with the transitions already recorded, keyed by their
+// order. Opening heals a torn tail and takes the log's lock, so a second
+// process appending to the same job at the same instant gets ErrLocked.
+func openStateLog(stateDir, id string) (*journal.Journal[Transition], map[int]Transition, error) {
+	path, hdr := stateLog(stateDir, id)
+	log, done, err := journal.Open[Transition](path, hdr)
 	if err != nil {
-		return err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	defer f.Close()
-	buf, err := json.Marshal(t)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(buf, '\n')); err != nil {
-		return err
-	}
-	return f.Sync()
+	return log, done, nil
 }
 
-// loadTransitions reads a job's state journal, healing a torn tail: a final
-// line without a newline or with invalid JSON (the crash wrote part of a
-// record) is dropped rather than failing the load.
-func loadTransitions(dir string) ([]Transition, error) {
-	f, err := os.Open(filepath.Join(dir, "state.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var ts []Transition
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		var t Transition
-		if err := json.Unmarshal(sc.Bytes(), &t); err != nil {
-			break // torn or corrupt tail: everything before it is the truth
-		}
-		ts = append(ts, t)
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return nil, err
-	}
-	return ts, nil
-}
-
-// loadJob reconstructs one job from its directory. Jobs whose spec is
-// missing or unreadable are reported as errors; the caller decides whether
-// to skip or surface them.
+// loadJob reconstructs one job from its directory. It only reads: the
+// state log is scanned without its lock and a torn tail is left for the
+// next append to heal, so loading is safe beside another live process.
+// A missing state log (a crash between the spec write and the first
+// transition) loads as queued; a refused or corrupt one is an error.
 func loadJob(stateDir, id string) (*Job, error) {
 	dir := jobDir(stateDir, id)
 	buf, err := os.ReadFile(filepath.Join(dir, "spec.json"))
@@ -172,11 +136,13 @@ func loadJob(stateDir, id string) (*Job, error) {
 	}
 	spec.Normalize()
 	j := &Job{ID: id, Spec: &spec, State: StateQueued}
-	ts, err := loadTransitions(dir)
+	path, hdr := stateLog(stateDir, id)
+	done, err := journal.Read[Transition](path, hdr)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("job %s: %w", id, err)
+		return nil, fmt.Errorf("job %s: %s: %w", id, path, err)
 	}
-	for _, t := range ts {
+	for i := 0; i < len(done); i++ {
+		t := done[i]
 		j.State, j.Attempt, j.Updated = t.State, t.Attempt, t.At
 		if t.Detail != "" {
 			j.Detail = t.Detail

@@ -15,9 +15,8 @@ import (
 // This file wires the content-addressable run cache (internal/runcache)
 // into the simulation entry points. The canonical identity of a run is
 // built here — one schema shared by single runs, standalone injections and
-// campaign cells — and the same encoder keys the campaign journal (see
-// OpenCampaignJournal), replacing the ad-hoc string folding that used to
-// live next to journal.KeyHash.
+// campaign cells — and the same encoder and campaign prefix key the
+// campaign journal (see OpenCampaignJournal).
 //
 // Soundness rests on determinism: given equal (program content, machine
 // config, mode, budget, fault site, execution plan) the simulator produces
@@ -59,21 +58,27 @@ func (c Config) cacheableSingle() bool {
 	return c.Cache != nil && c.Trace == nil && c.Metrics == nil
 }
 
-// coreIdentity encodes the parameters every cached run shares: program
-// content, machine configuration, mode and instruction budget.
-func (c Config) coreIdentity(kind string, p *isa.Program) *runcache.Identity {
+// coreIdentity encodes the parameters every run identity shares: the
+// program's name, machine configuration, mode and instruction budget.
+// Cached runs add the program's content fingerprint (programIdentity);
+// the campaign journal, which knows the program by name only, does not.
+func (c Config) coreIdentity(kind, program string) *runcache.Identity {
 	return runcache.NewIdentity().
 		Add("kind", kind).
-		Add("program", p.Name).
-		Add("prog_fp", programFingerprint(p)).
+		Add("program", program).
 		AddJSON("machine", c.Machine).
 		Addf("mode", "%v", c.Mode).
 		Addf("n", "%d", c.MaxInstructions)
 }
 
+// programIdentity is the core identity of a cached run of p.
+func (c Config) programIdentity(kind string, p *isa.Program) *runcache.Identity {
+	return c.coreIdentity(kind, p.Name).Add("prog_fp", programFingerprint(p))
+}
+
 // runIdentity is the identity of one fault-free (possibly sampled) run.
 func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
-	id := cfg.coreIdentity("run", p)
+	id := cfg.programIdentity("run", p)
 	if skip > 0 {
 		id.Addf("skip", "%d", skip)
 	}
@@ -84,7 +89,7 @@ func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
 // injection: the core plus the execution-plan parameters that shape the
 // recorded outcome and every injected site.
 func injectIdentity(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) *runcache.Identity {
-	id := cfg.coreIdentity("inject", p).
+	id := cfg.programIdentity("inject", p).
 		Addf("split", "%v", opts.SplitPayload).
 		Addf("ff", "%v", cfg.FastForward)
 	for _, s := range sites {
@@ -93,22 +98,30 @@ func injectIdentity(cfg Config, p *isa.Program, sites []fault.Site, opts InjectO
 	return id
 }
 
-// campaignCellIdentity is the identity of one campaign cell: the core plus
-// the campaign execution plan (checkpoint interval, fast-forward and its
-// warmup lead — cached records carry path-choice figures like ForkCycle
-// and FFSkipped, which those parameters determine) and the cell's site.
-// The surrounding site list is deliberately NOT part of a cell's identity:
-// path choice depends only on the cell's own site and the plan cadence, so
-// equal cells are shared across campaigns and sweeps — the incremental-
-// sweep property (a one-parameter edit re-executes only its own column).
+// campaignCellIdentity is the identity of one campaign cell: the campaign
+// base plus the cell's site. The surrounding site list is deliberately
+// NOT part of a cell's identity: path choice depends only on the cell's
+// own site and the plan cadence, so equal cells are shared across
+// campaigns and sweeps — the incremental-sweep property (a one-parameter
+// edit re-executes only its own column).
 func campaignCellIdentity(base *runcache.Identity, site fault.Site) *runcache.Identity {
 	return runcache.NewIdentity(base.Parts()...).AddJSON("site", site)
 }
 
 // campaignBaseIdentity is the shared prefix of every cell identity of one
-// campaign.
+// campaign: the campaign identity plus the program's content fingerprint.
 func campaignBaseIdentity(cfg Config, p *isa.Program, opts InjectOptions) *runcache.Identity {
-	id := cfg.coreIdentity("campaign", p).
+	return campaignIdentity(cfg, p.Name, opts).Add("prog_fp", programFingerprint(p))
+}
+
+// campaignIdentity is the campaign prefix the run cache and the campaign
+// journal share: the core plus the campaign execution plan. Cached and
+// journaled records carry path-choice figures like ForkCycle and
+// FFSkipped, which the checkpoint interval, fast-forward and its warmup
+// lead determine; sampled campaigns report window-relative figures, so a
+// sampled record must not serve a full campaign or another warmup lead.
+func campaignIdentity(cfg Config, program string, opts InjectOptions) *runcache.Identity {
+	id := cfg.coreIdentity("campaign", program).
 		Addf("split", "%v", opts.SplitPayload).
 		Addf("ckpt", "%d", cfg.CheckpointInterval).
 		Addf("ff", "%v", cfg.FastForward)
@@ -128,32 +141,29 @@ func jsonCacheEqual(a, b any) bool {
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 
-// cachedResult serves one single-run entry point through the cache: hit →
-// stored Result (with sampled trust-but-verify recomputation), miss → live
-// run then fill. Cache I/O failures degrade to live execution; they never
-// fail the run.
-func cachedResult(cfg Config, id *runcache.Identity, live func() (*Result, error)) (*Result, error) {
-	var cached Result
-	if cfg.Cache.Get(id, &cached) {
-		if !runcache.ShouldVerify(id, cfg.CacheVerify) {
-			return &cached, nil
-		}
-		res, err := live()
-		if err != nil {
-			return nil, err
-		}
-		diverged := !jsonCacheEqual(res, &cached)
-		cfg.Cache.CountVerify(diverged)
-		if diverged {
-			_ = cfg.Cache.Put(id, res) // heal the entry; best-effort
-		}
-		return res, nil
+// cached serves one single-run entry point through the cache: hit →
+// stored outcome (with sampled trust-but-verify recomputation), miss →
+// live run then fill. Cache I/O failures degrade to live execution; they
+// never fail the run.
+func cached[T any](cfg Config, id *runcache.Identity, live func() (T, error)) (T, error) {
+	var stored T
+	hit := cfg.Cache.Get(id, &stored)
+	if hit && !runcache.ShouldVerify(id, cfg.CacheVerify) {
+		return stored, nil
 	}
 	res, err := live()
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	_ = cfg.Cache.Put(id, res) // best-effort fill
+	if hit {
+		diverged := !jsonCacheEqual(res, stored)
+		cfg.Cache.CountVerify(diverged)
+		if !diverged {
+			return res, nil
+		}
+	}
+	_ = cfg.Cache.Put(id, res) // fill, or heal a diverged entry; best-effort
 	return res, nil
 }
 
@@ -166,30 +176,4 @@ func cacheSanitizedRecord(rec runRecord) runRecord {
 	rec.Retries = 0
 	rec.Failure = nil
 	return rec
-}
-
-// cachedInjection mirrors cachedResult for standalone injections.
-func cachedInjection(cfg Config, id *runcache.Identity, live func() (InjectionResult, error)) (InjectionResult, error) {
-	var cached InjectionResult
-	if cfg.Cache.Get(id, &cached) {
-		if !runcache.ShouldVerify(id, cfg.CacheVerify) {
-			return cached, nil
-		}
-		res, err := live()
-		if err != nil {
-			return InjectionResult{}, err
-		}
-		diverged := !jsonCacheEqual(res, cached)
-		cfg.Cache.CountVerify(diverged)
-		if diverged {
-			_ = cfg.Cache.Put(id, res)
-		}
-		return res, nil
-	}
-	res, err := live()
-	if err != nil {
-		return InjectionResult{}, err
-	}
-	_ = cfg.Cache.Put(id, res)
-	return res, nil
 }

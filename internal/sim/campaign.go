@@ -107,7 +107,7 @@ func InjectProgramMulti(cfg Config, p *isa.Program, sites []fault.Site, opts Inj
 	// Standalone injections honor Trace/Metrics, so the cache gate matches
 	// the single-run rule: live observability cannot be replayed.
 	if cfg.cacheableSingle() {
-		return cachedInjection(cfg, injectIdentity(cfg, p, sites, opts), live)
+		return cached(cfg, injectIdentity(cfg, p, sites, opts), live)
 	}
 	return live()
 }
@@ -279,7 +279,7 @@ func TransientSites(cfg pipeline.Config, fireAt uint64) []fault.Site {
 	sites := StandardSites(cfg)
 	out := make([]fault.Site, 0, len(sites))
 	for _, s := range sites {
-		s.Transient = true
+		s.Kind = fault.KindTransient
 		s.FireAt = fireAt
 		out = append(out, s)
 	}
@@ -682,13 +682,6 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 					}
 				}
 				cacheHits.Add(1)
-				// Journal the served run too, so a later resume without the
-				// cache still replays it.
-				if cfg.Journal != nil {
-					if jerr := cfg.Journal.j.Append(i, rec); jerr != nil {
-						return InjectionResult{}, jerr
-					}
-				}
 				w.recordRecord(rec)
 				report(i, rec, "cache")
 				return rec.Result, nil

@@ -37,8 +37,8 @@ func mixedSites(cfg pipeline.Config) []fault.Site {
 		{Class: fault.RegisterFile, Reg: 200, BitMask: 1 << 5},
 		{Class: fault.PayloadRAM, Slot: 3, Field: fault.FieldImm, BitMask: 2},
 		// Late transients: one shot on a deep eligible use.
-		{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 1, BitMask: 1 << 9, Transient: true, FireAt: 300},
-		{Class: fault.FrontendWay, Way: 0, Field: fault.FieldRs1, Transient: true, FireAt: 150},
+		{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 1, BitMask: 1 << 9, Kind: fault.KindTransient, FireAt: 300},
+		{Class: fault.FrontendWay, Way: 0, Field: fault.FieldRs1, Kind: fault.KindTransient, FireAt: 150},
 		// Never fires: impossible trigger pattern.
 		{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 3,
 			TriggerMask: ^uint64(0), TriggerValue: 0xDEADBEEFDEADBEEF},

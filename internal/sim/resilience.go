@@ -15,7 +15,6 @@ import (
 	"blackjack/internal/journal"
 	"blackjack/internal/parallel"
 	"blackjack/internal/pipeline"
-	"blackjack/internal/runcache"
 )
 
 // This file is the campaign resilience layer: per-run isolation (a panicking
@@ -173,38 +172,24 @@ type CampaignJournal struct {
 }
 
 // campaignJournalVersion is bumped when runRecord or the identity schema
-// changes incompatibly. v2: keys fold through the canonical runcache
-// identity encoder (adding the machine configuration) and headers record
-// the human-readable parts.
-const campaignJournalVersion = 2
+// changes incompatibly. v3: the key is the run cache's campaign identity
+// (campaignIdentity) with every site JSON-encoded, so sites differing only
+// in a field their human label drops (ArmAt, FireAt, BitMask) no longer
+// alias; sites carry their kind only in Kind.
+const campaignJournalVersion = 3
 
 // OpenCampaignJournal opens (creating or resuming) the campaign journal at
 // path. The journal is keyed by everything that defines run identity —
-// program, machine, mode, instruction budget, split-payload option,
-// checkpoint/fast-forward plan and the exact site list — folded through
-// the canonical identity encoder shared with the run cache
-// (runcache.Identity), and refuses to resume a journal written for a
+// the campaign identity the run cache uses (program, machine, mode,
+// instruction budget, split-payload option, checkpoint/fast-forward plan)
+// plus the exact site list — and refuses to resume a journal written for a
 // different campaign, naming the changed parameter. Worker count is
 // deliberately not part of the key: a campaign journaled under one
 // -parallel value resumes under any other.
 func OpenCampaignJournal(path string, cfg Config, program string, sites []fault.Site, opts InjectOptions) (*CampaignJournal, error) {
-	id := runcache.NewIdentity().
-		Add("kind", "campaign").
-		Add("program", program).
-		Addf("machine", "%+v", cfg.Machine).
-		Addf("mode", "%v", cfg.Mode).
-		Addf("n", "%d", cfg.MaxInstructions).
-		Addf("split", "%v", opts.SplitPayload).
-		Addf("ckpt", "%d", cfg.CheckpointInterval).
-		Addf("ff", "%v", cfg.FastForward)
-	if cfg.FastForward {
-		// Sampled campaigns report window-relative figures, so a sampled
-		// journal must not resume a full campaign across warmup leads.
-		id.Addf("ffw", "%d", cfg.ffWarmup())
-	}
-	id.Addf("sites", "%d", len(sites))
+	id := campaignIdentity(cfg, program, opts).Addf("sites", "%d", len(sites))
 	for _, s := range sites {
-		id.Addf("site", "%+v", s)
+		id.AddJSON("site", s)
 	}
 	j, done, err := journal.Open[runRecord](path, journal.Header{
 		Kind: "campaign", Key: id.Hash64(), Version: campaignJournalVersion,

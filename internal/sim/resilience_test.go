@@ -311,6 +311,38 @@ func TestCampaignJournalKeyMismatch(t *testing.T) {
 	if _, err := OpenCampaignJournal(path, cfg, "crafty", sites[:3], InjectOptions{}); err == nil {
 		t.Error("journal accepted a different site list")
 	}
+
+	// Sites differing only in a field their human label drops must still
+	// be refused, naming the changed site.
+	latent := LatentSites(cfg.Machine)
+	armed := append([]fault.Site(nil), latent...)
+	armed[0].ArmAt++
+	masked := append([]fault.Site(nil), sites...)
+	masked[0].BitMask ^= 1 << 3
+	for _, c := range []struct {
+		name           string
+		wrote, resumed []fault.Site
+	}{
+		{"ArmAt", latent, armed},
+		{"FireAt", TransientSites(cfg.Machine, 3), TransientSites(cfg.Machine, 4)},
+		{"BitMask", sites, masked},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "c.journal")
+			jr, err := OpenCampaignJournal(path, cfg, "crafty", c.wrote, InjectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jr.Close()
+			_, err = OpenCampaignJournal(path, cfg, "crafty", c.resumed, InjectOptions{})
+			if err == nil {
+				t.Fatalf("journal accepted sites differing only in %s", c.name)
+			}
+			if !strings.Contains(err.Error(), `"site=`) {
+				t.Errorf("refusal %q does not name the changed site", err)
+			}
+		})
+	}
 }
 
 // Campaign-level cancellation (SIGINT) stops the fan-out, surfaces
