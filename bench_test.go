@@ -201,7 +201,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkBlackJackThroughput is BenchmarkSimulatorThroughput under the name
 // the observability layer's acceptance criterion tracks: with tracing and
 // metrics disabled (the default — no sink attached), this must stay within 2%
-// of the BENCH_campaign.json ns_per_instr baseline. The disabled path is a
+// of its rate before the observability layer existed. The disabled path is a
 // handful of nil checks per stage hook plus one per Tick; compare against
 // BenchmarkBlackJackThroughputObserved for the enabled-path cost.
 func BenchmarkBlackJackThroughput(b *testing.B) {
@@ -245,8 +245,8 @@ func BenchmarkBlackJackThroughputObserved(b *testing.B) {
 
 // TestRunAllocBudget guards the disabled-path allocation criterion: a run
 // without observability sinks must not allocate more than the seed baseline
-// (BENCH_campaign.json cold_allocs_per_run was 6508 at 30k instructions;
-// the budget below scales that to this test's 5k with generous headroom,
+// (6508 allocations per cold campaign run at 30k instructions; the budget
+// below scales that to this test's 5k with generous headroom,
 // since the point is catching per-instruction or per-cycle allocations,
 // which would add tens of thousands).
 func TestRunAllocBudget(t *testing.T) {
@@ -327,8 +327,8 @@ func BenchmarkCampaignFF16(b *testing.B) { benchCampaign16(b, 0, true) }
 // BenchmarkSweepWarmCache measures a fully-warm Ext-A sweep: every campaign
 // cell of every mode is served from the content-addressable run cache
 // instead of re-simulated. Compare against BenchmarkExtAFaultInjection (the
-// same sweep cold) for the cache speedup; the warm/cold wall-clock pair is
-// also recorded in the BENCH_campaign.json trajectory by bjexp -bench-json.
+// same sweep cold) for the cache speedup; bjexp -bench-json reports the
+// same ratio for one campaign as cache_speedup.
 func BenchmarkSweepWarmCache(b *testing.B) {
 	cache, err := OpenRunCache(b.TempDir(), 0)
 	if err != nil {

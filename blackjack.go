@@ -96,9 +96,10 @@ func Run(cfg Config, benchmark string) (*Result, error) { return sim.Run(cfg, be
 // RunProgram executes a custom program.
 func RunProgram(cfg Config, p *Program) (*Result, error) { return sim.RunProgram(cfg, p) }
 
-// DefaultFFWarmup is the default fast-forward warmup lead in committed
-// instructions (see Config.FFWarmup).
-const DefaultFFWarmup = sim.DefaultFFWarmup
+// FastForwardWarmup is the fast-forward warmup lead in committed
+// instructions: sampled runs simulate this many instructions
+// cycle-accurately before the activation window.
+const FastForwardWarmup = sim.FastForwardWarmup
 
 // RunSampled executes a benchmark with a functional fast-forward: the
 // golden ISA emulator retires the first skip instructions, and the
@@ -399,7 +400,7 @@ func RunExperimentSuite(opts ExperimentOptions) (*ExperimentSuite, error) {
 }
 
 // Calibration: every paper claim as a typed, executable assertion
-// (internal/calib), plus trend gating over BENCH_*.json trajectories.
+// (internal/calib).
 type (
 	// CalibClaim is one paper claim: metric key, paper value, tolerance
 	// band.
@@ -413,12 +414,6 @@ type (
 	CalibMeasurements = calib.Measurements
 	// CalibVerdict classifies one evaluated claim.
 	CalibVerdict = calib.Verdict
-	// TrendReport is an evaluated BENCH trajectory: the newest record
-	// gated against the median of the records preceding it, per metric.
-	TrendReport = calib.TrendReport
-	// TrajectoryMismatchError is the typed refusal to append a record to a
-	// trajectory recorded for a different workload.
-	TrajectoryMismatchError = calib.TrajectoryMismatchError
 )
 
 // Calibration verdicts.
@@ -435,13 +430,3 @@ func PaperCalibrationSpec() CalibSpec { return calib.PaperSpec() }
 // Calibrate runs the figure suite plus one metrics-attached representative
 // run and evaluates the paper calibration spec.
 func Calibrate(opts ExperimentOptions) (*CalibReport, error) { return experiments.Calibrate(opts) }
-
-// AppendBenchTrajectory appends a flat JSON-marshalable record to the
-// trajectory array at path, migrating legacy single-object files and
-// refusing records whose benchmark/mode/sites identity mismatches the
-// existing records.
-func AppendBenchTrajectory(path string, rec any) error { return calib.AppendTrajectory(path, rec) }
-
-// EvalBenchTrend gates the BENCH trajectory at path with the default trend
-// tolerance windows.
-func EvalBenchTrend(path string) (*TrendReport, error) { return calib.EvalTrendFile(path) }

@@ -41,20 +41,3 @@ func runCalibrate(opts experiments.Options, jsonPath string) {
 		os.Exit(5)
 	}
 }
-
-// runTrendGate evaluates the BENCH trajectory at path against the default
-// trend tolerance windows. DRIFT warns on stderr; any FAIL exits 5.
-func runTrendGate(path string) {
-	rep, err := calib.EvalTrendFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Table().Render(os.Stdout)
-	if drifting := rep.Drifting(); len(drifting) > 0 {
-		fmt.Fprintf(os.Stderr, "bjexp: trend drift on %s\n", strings.Join(drifting, ", "))
-	}
-	if rep.Failed() {
-		fmt.Fprintln(os.Stderr, "bjexp: trend gate FAILED")
-		os.Exit(5)
-	}
-}

@@ -61,7 +61,6 @@ func main() {
 		par     = flag.Int("parallel", 0, "worker count for campaign fan-out over sites (0 = NumCPU; output is identical at any value)")
 		ckpt    = flag.Int64("checkpoint-interval", 0, "campaign warmup snapshot interval in cycles; injections fork from the latest snapshot before their fault fires (0 = every run cold; output is identical at any value)")
 		ff      = flag.Bool("ff", false, "sampled campaign: fast-forward each injection's fault-free prefix on the functional model and simulate only its activation window (outcome tables match full simulation; cycle figures of fast-forwarded runs are window-relative)")
-		ffWarm  = flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the activation window (0 = default)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -104,7 +103,6 @@ func main() {
 	cfg.Parallel = *par
 	cfg.CheckpointInterval = *ckpt
 	cfg.FastForward = *ff
-	cfg.FFWarmup = *ffWarm
 	cfg.Ctx = ctx
 	cfg.Resilience = blackjack.Resilience{
 		Isolate:    *isolate,

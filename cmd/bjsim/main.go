@@ -35,8 +35,7 @@ func main() {
 		list  = flag.Bool("list", false, "list benchmarks and exit")
 		trace = flag.Int("trace", 0, "print a pipeline trace of the first N events")
 
-		ff     = flag.Int("ff", 0, "sampled run: fast-forward to this committed-instruction offset on the functional model, handing off one warmup lead earlier, and simulate only the rest cycle-accurately (0 = whole run cycle-accurate)")
-		ffWarm = flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the -ff offset (0 = default)")
+		ff = flag.Int("ff", 0, "sampled run: fast-forward to this committed-instruction offset on the functional model, handing off one warmup lead earlier, and simulate only the rest cycle-accurately (0 = whole run cycle-accurate)")
 
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or Perfetto)")
 		traceEvents = flag.Int("trace-events", 0, "structured-trace ring capacity in events (0 = 65536); the ring keeps the last N events")
@@ -122,13 +121,9 @@ func main() {
 	}
 	run := func() (*blackjack.Result, error) { return blackjack.Run(cfg, *bench) }
 	if *ff > 0 {
-		warm := *ffWarm
-		if warm <= 0 {
-			warm = blackjack.DefaultFFWarmup
-		}
-		skip := max(*ff-warm, 0)
+		skip := max(*ff-blackjack.FastForwardWarmup, 0)
 		fmt.Printf("fast-forwarded   %d instrs (functional handoff %d before -ff %d); cycle figures cover the simulated window only\n",
-			skip, warm, *ff)
+			skip, blackjack.FastForwardWarmup, *ff)
 		run = func() (*blackjack.Result, error) { return blackjack.RunSampled(cfg, *bench, skip) }
 	}
 	res, err := run()

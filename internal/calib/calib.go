@@ -8,11 +8,6 @@
 // PASS/DRIFT/FAIL verdict and deterministic text/JSON renderings, so a PR
 // that silently shifts a figure fails CI instead of waiting for a human to
 // reread the prose.
-//
-// The package also gates the BENCH_*.json performance trajectories: the
-// trend layer (trend.go) fits a tolerance window over the last K records
-// (median ± relative band per metric) and flags the newest record when a
-// speedup falls or a cost rises beyond the window.
 package calib
 
 import (

@@ -66,8 +66,8 @@ func (r *SampledReport) String() string {
 // simulation and sampled (fast-forward) — and verifies per site that the
 // outcome class and the activated flag agree. The full reference runs with
 // checkpointing, metrics and journaling stripped, so it is the plain cold
-// campaign; the sampled run keeps the caller's FFWarmup and
-// CheckpointInterval (checkpoints then serve as fallback fork points).
+// campaign; the sampled run keeps the caller's CheckpointInterval
+// (checkpoints then serve as fallback fork points).
 func CompareSampledCampaign(cfg sim.Config, p *isa.Program, sites []fault.Site, opts sim.InjectOptions) (*SampledReport, error) {
 	fullCfg := cfg
 	fullCfg.FastForward = false

@@ -51,9 +51,6 @@ type Options struct {
 	// and latencies of fast-forwarded runs are window-relative, so figures
 	// built on those columns are not byte-identical to full runs.
 	FastForward bool
-	// FFWarmup is the fast-forward warmup lead in committed instructions
-	// (<= 0 selects sim.DefaultFFWarmup).
-	FFWarmup int
 	// Metrics, when non-nil, accumulates the experiment's metrics
 	// (internal/obs): RunSuite exports every run's pipeline.Stats in
 	// deterministic (benchmark, mode) order, and the campaign experiments
@@ -579,8 +576,7 @@ func ExtAFaultInjection(opts Options, benchmark string) ([]ExtARow, error) {
 		cfg := sim.Config{
 			Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
 			Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-			FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-			Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
+			FastForward: opts.FastForward, Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
 			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
 		}
 		sum, err := runCampaign(opts, fmt.Sprintf("exta-%s-%s", benchmark, mode), cfg,
@@ -694,8 +690,7 @@ func ExtCPayloadRAM(opts Options, benchmarks []string) ([]ExtCRow, error) {
 		cfg := sim.Config{
 			Machine: opts.Machine, Mode: pipeline.ModeBlackJack, MaxInstructions: opts.Instructions,
 			Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-			FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-			Ctx: opts.Ctx, Resilience: opts.Resilience,
+			FastForward: opts.FastForward, Ctx: opts.Ctx, Resilience: opts.Resilience,
 			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
 		}
 		shared, err := runCampaign(opts, "extc-"+b+"-shared", cfg, b, sites, sim.InjectOptions{SplitPayload: false})
@@ -926,8 +921,7 @@ func ExtFMultiFault(opts Options, benchmark string, maxFaults int) ([]ExtFRow, e
 	cfg := sim.Config{
 		Machine: opts.Machine, Mode: pipeline.ModeBlackJack, MaxInstructions: opts.Instructions,
 		CheckpointInterval: opts.CheckpointInterval,
-		FastForward:        opts.FastForward, FFWarmup: opts.FFWarmup,
-		Ctx: opts.Ctx, Resilience: opts.Resilience,
+		FastForward:        opts.FastForward, Ctx: opts.Ctx, Resilience: opts.Resilience,
 		Cache: opts.Cache, CacheVerify: opts.CacheVerify,
 	}
 	// Every window is a contiguous range of the same site list, so with
@@ -997,8 +991,7 @@ func ExtGSoftErrors(opts Options, benchmark string) ([]ExtARow, error) {
 		cfg := sim.Config{
 			Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
 			Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-			FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-			Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
+			FastForward: opts.FastForward, Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
 			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
 		}
 		sum, err := runCampaign(opts, fmt.Sprintf("extg-%s-%s", benchmark, mode), cfg,
@@ -1145,8 +1138,7 @@ func ExtISoftIntermittent(opts Options, benchmark string) ([]ExtIRow, error) {
 			cfg := sim.Config{
 				Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
 				Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-				FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-				Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
+				FastForward: opts.FastForward, Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
 				Cache: opts.Cache, CacheVerify: opts.CacheVerify,
 			}
 			sum, err := runCampaign(opts, fmt.Sprintf("exti-%s-%v-%s", benchmark, kind, mode), cfg,

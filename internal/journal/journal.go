@@ -2,7 +2,7 @@
 // byte that must survive a crash is written here. It provides the
 // crash-resumable append log underlying long campaigns, fuzz sessions and
 // served job lifecycles, plus WriteFileAtomic for whole-file replacements
-// (job specs and results, run-cache entries, BENCH trajectories).
+// (job specs and results, run-cache entries, bjexp -bench-json reports).
 // WriteFileAtomic also fsyncs the directory it renames in, so a file it
 // wrote survives power loss; a journal fsyncs its records but not the
 // directory entry of a newly created file, which power loss may drop

@@ -117,16 +117,17 @@ func campaignBaseIdentity(cfg Config, p *isa.Program, opts InjectOptions) *runca
 // campaignIdentity is the campaign prefix the run cache and the campaign
 // journal share: the core plus the campaign execution plan. Cached and
 // journaled records carry path-choice figures like ForkCycle and
-// FFSkipped, which the checkpoint interval, fast-forward and its warmup
-// lead determine; sampled campaigns report window-relative figures, so a
-// sampled record must not serve a full campaign or another warmup lead.
+// FFSkipped, which the checkpoint interval and fast-forward determine;
+// sampled campaigns report window-relative figures, so a sampled record
+// must not serve a full campaign. The warmup lead is a constant, but its
+// "ffw" part stays in the identity so existing entries keep their keys.
 func campaignIdentity(cfg Config, program string, opts InjectOptions) *runcache.Identity {
 	id := cfg.coreIdentity("campaign", program).
 		Addf("split", "%v", opts.SplitPayload).
 		Addf("ckpt", "%d", cfg.CheckpointInterval).
 		Addf("ff", "%v", cfg.FastForward)
 	if cfg.FastForward {
-		id.Addf("ffw", "%d", cfg.ffWarmup())
+		id.Addf("ffw", "%d", FastForwardWarmup)
 	}
 	return id
 }

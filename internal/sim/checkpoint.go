@@ -344,7 +344,7 @@ func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64,
 		return 0, nil, false
 	}
 	anchor := pl.marks[j-1].instrs
-	lead := uint64(pl.cfg.ffWarmup())
+	lead := uint64(FastForwardWarmup)
 	if anchor <= lead {
 		return 0, nil, false
 	}

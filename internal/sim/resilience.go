@@ -259,7 +259,7 @@ func (c *campaignRunner) repro(i int) string {
 		cmd += fmt.Sprintf(" -checkpoint-interval %d", c.cfg.CheckpointInterval)
 	}
 	if c.cfg.FastForward {
-		cmd += fmt.Sprintf(" -ff -ff-warmup %d", c.cfg.ffWarmup())
+		cmd += " -ff"
 	}
 	return cmd
 }

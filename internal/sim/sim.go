@@ -43,21 +43,17 @@ type Config struct {
 	// FastForward enables sampled campaign execution: an injection whose
 	// fault cannot corrupt anything before a known warmup cycle is served by
 	// running the golden ISA emulator functionally to a handoff instruction
-	// just before that window, seeding a warm cycle-accurate machine from the
-	// architectural state (see pipeline.NewFromArch), and simulating only the
-	// activation window — with the run stopping at its first detection event,
-	// since the outcome is Detected from that point regardless. Outcome
-	// tables are identical to full simulation (diffcheck.CompareSampledCampaign
-	// proves it per campaign); cycle counts, activation totals and detection
+	// FastForwardWarmup instructions before that window, seeding a warm
+	// cycle-accurate machine from the architectural state (see
+	// pipeline.NewFromArch), and simulating only the activation window —
+	// with the run stopping at its first detection event, since the outcome
+	// is Detected from that point regardless. Outcome tables are identical
+	// to full simulation (diffcheck.CompareSampledCampaign proves it per
+	// campaign); cycle counts, activation totals and detection
 	// latencies of fast-forwarded runs are window-relative, not
 	// whole-program. Composes with CheckpointInterval: sites with an early
 	// first activation still fork from warmup snapshots.
 	FastForward bool
-	// FFWarmup is the fast-forward warmup lead in committed instructions:
-	// the handoff is placed this many instructions before the activation
-	// window so queues, the predictor and the redundancy coupling re-approach
-	// steady state before the fault can fire. <= 0 selects DefaultFFWarmup.
-	FFWarmup int
 	// Trace, when non-nil, records structured pipeline events of
 	// single-machine entry points (RunProgram, InjectProgram and the
 	// standalone fault paths) for Chrome-trace export. Campaign fan-out
@@ -130,22 +126,14 @@ type RunProgress struct {
 	Quarantined bool
 }
 
-// DefaultFFWarmup is the default fast-forward warmup lead (committed
+// FastForwardWarmup is the fast-forward warmup lead (committed
 // instructions simulated cycle-accurately before the activation window).
 // Several times the machine's maximum in-flight window, so queues, the
 // predictor and the redundancy coupling re-approach steady state before the
 // fault can fire; sampled-equivalence outcomes are empirically stable from
 // a few hundred instructions up (diffcheck's sampled mode re-proves it per
-// campaign). Raise Config.FFWarmup for conservative latency studies.
-const DefaultFFWarmup = 500
-
-// ffWarmup resolves the configured warmup lead.
-func (c Config) ffWarmup() int {
-	if c.FFWarmup > 0 {
-		return c.FFWarmup
-	}
-	return DefaultFFWarmup
-}
+// campaign).
+const FastForwardWarmup = 500
 
 // Default returns a Table 1 machine in the given mode with the given budget.
 func Default(mode pipeline.Mode, maxInstructions int) Config {
